@@ -168,6 +168,7 @@ func BenchmarkAblationRecurrenceStream(b *testing.B) {
 // BenchmarkCompiler measures raw compilation speed over the suite.
 func BenchmarkCompiler(b *testing.B) {
 	progs := Programs()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		for _, p := range progs {

@@ -272,8 +272,8 @@ func TestRegSetOps(t *testing.T) {
 	if s.AddAll(u) {
 		t.Error("second AddAll should not grow")
 	}
-	if len(s) != 3 {
-		t.Errorf("len = %d", len(s))
+	if s.Len() != 3 {
+		t.Errorf("len = %d", s.Len())
 	}
 	c := s.Clone()
 	c.Remove(rtl.R(1))

@@ -28,11 +28,11 @@ func InstrUses(i *rtl.Instr, fn func(rtl.Reg)) {
 		fn(rtl.RegLR)
 		fn(rtl.RegSP)
 	default:
-		for _, r := range i.Uses(nil) {
+		i.EachUse(func(r rtl.Reg) {
 			if trackable(r) {
 				fn(r)
 			}
-		}
+		})
 	}
 }
 
@@ -54,14 +54,24 @@ func InstrDefs(i *rtl.Instr, fn func(rtl.Reg)) {
 }
 
 // Liveness computes LiveIn/LiveOut for every block with the standard
-// backward iterative data-flow algorithm.
+// backward iterative data-flow algorithm.  Every set of one function
+// is a bit vector of the same width, so the transfer function
+// in = use | (out &^ def) runs a word at a time over flat storage.
 func (g *Graph) Liveness() {
 	f := g.F
-	// Per-block use/def summaries.
-	use := make([]RegSet, len(g.Blocks))
-	def := make([]RegSet, len(g.Blocks))
+	nb := len(g.Blocks)
+	// Per-block use/def summaries, sized from the function's virtual
+	// register count; a register beyond it (hand-built code) grows its
+	// set, and the width below absorbs it.
+	sw := (2*(rtl.VirtualBase+max(f.NumVirt(rtl.Int), f.NumVirt(rtl.Float))) + 63) / 64
+	w := sw
+	use := make([]RegSet, nb)
+	def := make([]RegSet, nb)
+	summary := make([]uint64, 2*nb*sw)
 	for _, b := range g.Blocks {
-		u, d := NewRegSet(), NewRegSet()
+		k := 2 * b.Index * sw
+		u := RegSet{summary[k : k+sw : k+sw]}
+		d := RegSet{summary[k+sw : k+2*sw : k+2*sw]}
 		for _, i := range b.Instrs(f) {
 			InstrUses(i, func(r rtl.Reg) {
 				if !d.Has(r) {
@@ -71,28 +81,35 @@ func (g *Graph) Liveness() {
 			InstrDefs(i, func(r rtl.Reg) { d.Add(r) })
 		}
 		use[b.Index], def[b.Index] = u, d
-		b.LiveIn, b.LiveOut = NewRegSet(), NewRegSet()
+		w = max(w, len(u.words), len(d.words))
 	}
-	changed := true
-	for changed {
+	// Every live register is used somewhere, so w words hold them all.
+	live := make([]uint64, 2*nb*w)
+	for _, b := range g.Blocks {
+		k := 2 * b.Index * w
+		b.LiveIn = RegSet{live[k : k+w : k+w]}
+		b.LiveOut = RegSet{live[k+w : k+2*w : k+2*w]}
+		use[b.Index].grow(w)
+		def[b.Index].grow(w)
+	}
+	// Backward over reverse postorder is fastest; correctness does not
+	// depend on order.
+	order := g.ReversePostorder()
+	for changed := true; changed; {
 		changed = false
-		// Backward over reverse postorder is fastest; correctness does
-		// not depend on order.
-		order := g.ReversePostorder()
 		for k := len(order) - 1; k >= 0; k-- {
 			b := order[k]
-			out := NewRegSet()
-			for _, s := range b.Succs {
-				out.AddAll(s.LiveIn)
-			}
-			in := out.Clone()
-			for r := range def[b.Index] {
-				in.Remove(r)
-			}
-			in.AddAll(use[b.Index])
-			if !in.Equal(b.LiveIn) || !out.Equal(b.LiveOut) {
-				b.LiveIn, b.LiveOut = in, out
-				changed = true
+			in, out := b.LiveIn.words, b.LiveOut.words
+			u, d := use[b.Index].words, def[b.Index].words
+			for j := range out {
+				var o uint64
+				for _, s := range b.Succs {
+					o |= s.LiveIn.words[j]
+				}
+				if n := u[j] | o&^d[j]; o != out[j] || n != in[j] {
+					out[j], in[j] = o, n
+					changed = true
+				}
 			}
 		}
 	}

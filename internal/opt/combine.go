@@ -53,10 +53,10 @@ func combineOnce(f *rtl.Func) (bool, error) {
 }
 
 func combineBlock(f *rtl.Func, g *cfg.Graph, b *cfg.Block) bool {
-	// liveAfter[n] = registers live after instruction n.
-	liveAfter := make(map[int]cfg.RegSet, b.End-b.Start)
+	// liveAfter[n-b.Start] = registers live after instruction n.
+	liveAfter := make([]cfg.RegSet, b.End-b.Start)
 	g.LiveAtEach(b, func(idx int, i *rtl.Instr, after cfg.RegSet) {
-		liveAfter[idx] = after.Clone()
+		liveAfter[idx-b.Start] = after.Clone()
 	})
 	// Scan backwards: merging the latest producer first lets runs of
 	// consecutive dequeues fold into one consumer in queue order.
@@ -81,14 +81,14 @@ func combineBlock(f *rtl.Func, g *cfg.Graph, b *cfg.Block) bool {
 		uses := 0
 		for k := n + 1; k < b.End; k++ {
 			c := f.Code[k]
-			for _, u := range c.Uses(nil) {
+			c.EachUse(func(u rtl.Reg) {
 				if u == d {
 					uses++
 					if consumerIdx == -1 {
 						consumerIdx = k
 					}
 				}
-			}
+			})
 			if redefines(c, d) {
 				break
 			}
@@ -96,7 +96,7 @@ func combineBlock(f *rtl.Func, g *cfg.Graph, b *cfg.Block) bool {
 		if consumerIdx == -1 || uses != 1 {
 			continue
 		}
-		if liveAfter[consumerIdx].Has(d) {
+		if liveAfter[consumerIdx-b.Start].Has(d) {
 			continue // value needed later (another block or after redef)
 		}
 		cons := f.Code[consumerIdx]
@@ -148,10 +148,14 @@ func mergeAllowed(f *rtl.Func, b *cfg.Block, prodIdx, consIdx int, prod, cons *r
 			return false
 		}
 		if fifoFwd {
-			for _, u := range mid.Uses(nil) {
+			readsFIFO := false
+			mid.EachUse(func(u rtl.Reg) {
 				if u == fifo {
-					return false
+					readsFIFO = true
 				}
+			})
+			if readsFIFO {
+				return false
 			}
 		}
 	}

@@ -91,8 +91,10 @@ func hoistLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) (bool, error) {
 		return true, nil
 	}
 
-	var hoisted []*rtl.Instr
 	preInsert := preheaderInsertPos(f, pre)
+	// Nothing moves before the first hoist, which returns, so one
+	// liveness solution serves every candidate of this visit.
+	live := false
 	for _, b := range l.BlockList() {
 		if !dominatesAllLatches(g, l, b) {
 			continue
@@ -120,11 +122,13 @@ func hoistLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) (bool, error) {
 			}
 			// The destination must not be live on entry to the loop
 			// (its pre-loop value would be clobbered by hoisting).
-			g.Liveness()
+			if !live {
+				g.Liveness()
+				live = true
+			}
 			if l.Header.LiveIn.Has(d) && usedBeforeDefInLoop(f, g, l, d, n) {
 				continue
 			}
-			hoisted = append(hoisted, i)
 			f.Remove(n)
 			if n < preInsert {
 				preInsert--
@@ -133,7 +137,6 @@ func hoistLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) (bool, error) {
 			return true, nil // structural change: restart analysis
 		}
 	}
-	_ = hoisted
 	return false, nil
 }
 

@@ -103,30 +103,26 @@ func buildIntervals(f *rtl.Func) (*intervalSet, error) {
 	across := map[rtl.Reg]bool{}
 	for _, b := range g.Blocks {
 		g.LiveAtEach(b, func(idx int, i *rtl.Instr, after cfg.RegSet) {
-			for r := range after {
+			after.Each(func(r rtl.Reg) {
 				touch(r, idx)
 				if idx+1 < b.End {
 					touch(r, idx+1)
 				}
-			}
+			})
 			cfg.InstrUses(i, func(r rtl.Reg) { touch(r, idx) })
 			cfg.InstrDefs(i, func(r rtl.Reg) { touch(r, idx) })
 			if i.Kind == rtl.KCall {
-				for r := range after {
+				after.Each(func(r rtl.Reg) {
 					if r.IsVirtual() {
 						across[r] = true
 					}
-				}
+				})
 			}
 		})
 		// Live-in/out at block boundaries.
-		for r := range b.LiveIn {
-			touch(r, b.Start)
-		}
-		for r := range b.LiveOut {
-			if b.End > 0 {
-				touch(r, b.End-1)
-			}
+		b.LiveIn.Each(func(r rtl.Reg) { touch(r, b.Start) })
+		if b.End > 0 {
+			b.LiveOut.Each(func(r rtl.Reg) { touch(r, b.End-1) })
 		}
 	}
 	set := &intervalSet{acrossCall: across}

@@ -45,9 +45,9 @@ func sinkOnce(f *rtl.Func) (bool, error) {
 		if d, ok := i.Def(); ok {
 			defCount[d]++
 		}
-		for _, u := range i.Uses(nil) {
+		i.EachUse(func(u rtl.Reg) {
 			useIdx[u] = append(useIdx[u], n)
-		}
+		})
 	}
 	g, err := cfg.Build(f)
 	if err != nil {
@@ -96,11 +96,11 @@ func sinkOnce(f *rtl.Func) (bool, error) {
 				clean = false
 				break
 			}
-			for _, u := range mid.Uses(nil) {
+			mid.EachUse(func(u rtl.Reg) {
 				if u == t || u == r {
 					clean = false
 				}
-			}
+			})
 			if !clean {
 				break
 			}

@@ -268,13 +268,22 @@ func WalkExpr(e Expr, fn func(Expr)) {
 	}
 }
 
-// ExprRegs calls fn for every register referenced by the expression.
+// ExprRegs calls fn for every register referenced by the expression,
+// in WalkExpr's pre-order.
 func ExprRegs(e Expr, fn func(Reg)) {
-	WalkExpr(e, func(n Expr) {
-		if r, ok := n.(RegX); ok {
-			fn(r.Reg)
-		}
-	})
+	switch x := e.(type) {
+	case RegX:
+		fn(x.Reg)
+	case Bin:
+		ExprRegs(x.L, fn)
+		ExprRegs(x.R, fn)
+	case Un:
+		ExprRegs(x.X, fn)
+	case Cvt:
+		ExprRegs(x.X, fn)
+	case Mem:
+		ExprRegs(x.Addr, fn)
+	}
 }
 
 // ExprUsesReg reports whether the expression references the register.

@@ -272,16 +272,23 @@ func (i *Instr) MapExprs(fn func(Expr) Expr) {
 // returns the result.  FIFO reads appear like ordinary register reads;
 // callers that care about queue semantics should also consult
 // HasFIFORead.  For KCall the uses are the ABI argument registers
-// recorded in Args (plus SP).
+// recorded in Args.
 func (i *Instr) Uses(out []Reg) []Reg {
-	if i.Kind == KCall {
-		out = append(out, i.Args...)
-		return out
-	}
-	i.EachUseExpr(func(e Expr) {
-		ExprRegs(e, func(r Reg) { out = append(out, r) })
-	})
+	i.EachUse(func(r Reg) { out = append(out, r) })
 	return out
+}
+
+// EachUse calls fn for every register read by the instruction, in the
+// order Uses lists them (a register read twice is visited twice),
+// without allocating.
+func (i *Instr) EachUse(fn func(Reg)) {
+	if i.Kind == KCall {
+		for _, r := range i.Args {
+			fn(r)
+		}
+		return
+	}
+	i.EachUseExpr(func(e Expr) { ExprRegs(e, fn) })
 }
 
 // Def returns the register written by the instruction and whether one

@@ -444,59 +444,62 @@ func (jm *jobManager) runJob(j *job, gate wmstream.BatchGate) {
 
 	event := ""
 	var dropRefs []*durable.CheckpointRef
-	j.update(func() {
-		j.cancel = nil
-		switch {
-		case j.cancelRequested:
+	// The transition is published (the generation bump that wakes
+	// pollers, and the unlock that lets readers see the state) only
+	// after its journal record is written and, for a terminal state,
+	// the trace is finished: a client that observes the state finds
+	// both.
+	j.mu.Lock()
+	j.cancel = nil
+	switch {
+	case j.cancelRequested:
+		j.state = jobCanceled
+		event = `event="canceled"`
+	case jm.srv.base.Err() != nil:
+		// Server shutdown, not user cancellation.  With a journal
+		// the job goes back to queued — the final checkpoint taken
+		// on cancellation (or the last periodic one) resumes it on
+		// the next boot.  Memory-only, it can only be canceled.
+		if jm.store != nil {
+			j.state = jobQueued
+			event = `event="requeued"`
+		} else {
 			j.state = jobCanceled
 			event = `event="canceled"`
-		case jm.srv.base.Err() != nil:
-			// Server shutdown, not user cancellation.  With a journal
-			// the job goes back to queued — the final checkpoint taken
-			// on cancellation (or the last periodic one) resumes it on
-			// the next boot.  Memory-only, it can only be canceled.
-			if jm.store != nil {
-				j.state = jobQueued
-				event = `event="requeued"`
-			} else {
-				j.state = jobCanceled
-				event = `event="canceled"`
-			}
-		case out.status == http.StatusOK && out.run != nil:
-			j.state = jobDone
-			j.result = out.run
-			event = `event="completed"`
-		default:
-			j.state = jobFailed
-			if out.errResp != nil {
-				j.errMsg = out.errResp.Error
-				j.diags = out.errResp.Diagnostics
-			} else {
-				j.errMsg = fmt.Sprintf("unexpected outcome (status %d)", out.status)
-			}
-			event = `event="failed"`
 		}
-		if j.state.terminal() {
-			j.expires = time.Now().Add(jm.cfg.JobTTL)
-			dropRefs = append(dropRefs, j.resume, j.resumePrev)
-			j.resume, j.resumePrev = nil, nil
+	case out.status == http.StatusOK && out.run != nil:
+		j.state = jobDone
+		j.result = out.run
+		event = `event="completed"`
+	default:
+		j.state = jobFailed
+		if out.errResp != nil {
+			j.errMsg = out.errResp.Error
+			j.diags = out.errResp.Diagnostics
+		} else {
+			j.errMsg = fmt.Sprintf("unexpected outcome (status %d)", out.status)
 		}
-		if j.state == jobFailed {
-			runSpan.SetError(j.errMsg)
-		}
-		rec = jm.recordLocked(j)
-	})
+		event = `event="failed"`
+	}
+	if j.state.terminal() {
+		j.expires = time.Now().Add(jm.cfg.JobTTL)
+		dropRefs = append(dropRefs, j.resume, j.resumePrev)
+		j.resume, j.resumePrev = nil, nil
+	}
+	if j.state == jobFailed {
+		runSpan.SetError(j.errMsg)
+	}
+	rec = jm.recordLocked(j)
 	runSpan.SetAttrInt("attempts", int64(rec.Attempt))
 	runSpan.End()
 	jm.putTraced(j, rec, rec.State)
-	jm.removeRefs(dropRefs...)
-	jm.srv.metrics.jobs.add(event, 1)
-	j.mu.Lock()
-	terminal := j.state.terminal()
-	j.mu.Unlock()
-	if terminal {
-		jm.finishTrace(j, rec.State)
+	if j.state.terminal() {
+		finishTraceLocked(j, rec.State)
 	}
+	jm.srv.metrics.jobs.add(event, 1)
+	j.bumpLocked()
+	j.mu.Unlock()
+	jm.removeRefs(dropRefs...)
 }
 
 // putTraced journals one record with a journal.append child span on
@@ -512,13 +515,17 @@ func (jm *jobManager) putTraced(j *job, rec durable.JobRecord, state string) err
 // finishTrace closes the job's end-to-end trace at a terminal state.
 func (jm *jobManager) finishTrace(j *job, state string) {
 	j.mu.Lock()
-	tr, root := j.trace, j.root
-	j.mu.Unlock()
-	if tr == nil {
+	defer j.mu.Unlock()
+	finishTraceLocked(j, state)
+}
+
+// finishTraceLocked is finishTrace for a caller holding j.mu.
+func finishTraceLocked(j *job, state string) {
+	if j.trace == nil {
 		return
 	}
-	root.SetAttr("state", state)
-	tr.Finish()
+	j.root.SetAttr("state", state)
+	j.trace.Finish()
 }
 
 // runOnce is one attempt: load the best resume candidate, run through

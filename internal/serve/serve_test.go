@@ -281,6 +281,45 @@ func TestSingleflightCollapse(t *testing.T) {
 	}
 }
 
+// TestLateRequestHitsAfterFlight is the regression test for the
+// compile-once race: a request that arrives just after the leader's
+// flight is forgotten must find the result in the cache, not run the
+// key a second time.  The flight group's forgotten hook sends that
+// request at exactly that moment.
+func TestLateRequestHitsAfterFlight(t *testing.T) {
+	var executions atomic.Int64
+	srv, ts := newTestServer(t, Config{CompileHook: func(Key) { executions.Add(1) }})
+	req := &Request{Source: helloSrc, Level: intp(2)}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := make(chan string, 1)
+	var probed atomic.Bool
+	srv.flights.forgotten = func(Key) {
+		if !probed.CompareAndSwap(false, true) {
+			return // the probe's own flight, had it missed
+		}
+		resp, err := http.Post(ts.URL+"/compile", "application/json", bytes.NewReader(body))
+		if err != nil {
+			late <- "error: " + err.Error()
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		late <- resp.Header.Get("X-Cache")
+	}
+	if r := post(t, ts, "/compile", req); r.status != http.StatusOK || r.cache != "miss" {
+		t.Fatalf("first request: status %d, X-Cache %q", r.status, r.cache)
+	}
+	if got := <-late; got != "hit" {
+		t.Errorf("request arriving as the flight was forgotten: X-Cache %q, want hit", got)
+	}
+	if n := executions.Load(); n != 1 {
+		t.Errorf("executions = %d, want 1", n)
+	}
+}
+
 // TestQueueOverflow saturates a 1-worker, depth-1 pool and checks the
 // next request is shed with 429 + Retry-After rather than queued.
 func TestQueueOverflow(t *testing.T) {

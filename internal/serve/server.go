@@ -481,6 +481,13 @@ func (s *Server) localSync(w http.ResponseWriter, r *http.Request, kind string, 
 				body:   mustJSON(&ErrorResponse{Error: "deadline exceeded while queued: " + err.Error()}),
 			}
 		}
+		// Fill the cache while the flight is still registered: a
+		// request arriving after the flight is forgotten must hit.
+		if fr.status == http.StatusOK {
+			fill := root.StartChild("cache.fill")
+			s.cache.Put(key, fr.body)
+			fill.End()
+		}
 		return fr
 	})
 
@@ -493,10 +500,6 @@ func (s *Server) localSync(w http.ResponseWriter, r *http.Request, kind string, 
 		attach := root.AddChildAt("singleflight.attach", obs.KindService,
 			flightStart, time.Since(flightStart))
 		attach.SetAttr("leader_trace", leader)
-	} else if res.status == http.StatusOK {
-		fill := root.StartChild("cache.fill")
-		s.cache.Put(key, res.body)
-		fill.End()
 	}
 	s.finish(w, r, kind, start, res.status, res.body, cacheState)
 }

@@ -19,12 +19,19 @@ type flight struct {
 // flightGroup coalesces concurrent requests for the same content
 // address: the first caller for a key (the leader) runs fn, everyone
 // arriving before it finishes blocks and shares the leader's result.
-// The flight is forgotten before its result is published, so requests
-// arriving after completion start fresh (and normally hit the cache
-// instead).
+// The flight is forgotten once fn returns, before its result is
+// published, so requests arriving later start fresh.  fn must
+// therefore make its result durable (the server fills the response
+// cache inside fn) before returning: a request arriving after the
+// flight is forgotten then hits the cache instead of running the key
+// a second time.
 type flightGroup struct {
 	mu      sync.Mutex
 	flights map[Key]*flight
+	// forgotten, when non-nil, is called right after a flight is
+	// forgotten and before its waiters wake — the window a late
+	// request can land in.  Tests use it to probe that window.
+	forgotten func(Key)
 }
 
 // Do returns fn's result for the key, executing fn at most once among
@@ -51,6 +58,9 @@ func (g *flightGroup) Do(k Key, self string, fn func() flightResult) (res flight
 	g.mu.Lock()
 	delete(g.flights, k)
 	g.mu.Unlock()
+	if g.forgotten != nil {
+		g.forgotten(k)
+	}
 	close(f.done)
 	return f.res, false, self
 }

@@ -211,6 +211,12 @@ func normalizeConfig(img *Image, cfg Config) Config {
 	return cfg
 }
 
+// usesTranslation reports whether New attaches a translation: runs
+// headed for the translated engine without a trace recorder.
+func usesTranslation(cfg Config) bool {
+	return cfg.TraceSink == nil && cfg.Engine != EngineFast && cfg.Engine != EngineReference
+}
+
 // New builds a machine for the linked image.  When the image's global
 // data would collide with the configured stack, the stack is relocated
 // above the data and memory grows to fit.
@@ -220,7 +226,7 @@ func New(img *Image, cfg Config) *Machine {
 	// Runs headed for the translated engine (the default) attach their
 	// translation here and share its decode cache — for a cached image,
 	// machine construction skips decoding entirely.
-	if cfg.TraceSink == nil && cfg.Engine != EngineFast && cfg.Engine != EngineReference {
+	if usesTranslation(cfg) {
 		m.tr = translationFor(img, cfg)
 		m.dec = m.tr.dec
 	} else {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"crypto/sha256"
-	"sync"
 
 	"wmstream/internal/rtl"
 )
@@ -21,6 +20,11 @@ import (
 // Runs that attach per-cycle observers (Config.TraceSink, Config.Trace)
 // or the profiler bypass the pool: their machines carry run-specific
 // state (recorder, retirement counts) that is not worth recycling.
+//
+// Pools hang off the image's translation-cache entry
+// (transCache.poolFor): an image gets a pool once it is resident, and
+// its pools go when it is evicted, so pools never outnumber the cache
+// cap times the configurations in use.
 
 // poolKey identifies interchangeable machines: the image identity plus
 // every configuration field that shapes allocations or behavior.  The
@@ -44,8 +48,6 @@ type poolKey struct {
 	watchdogSlack int
 	engine        Engine
 }
-
-var machinePools sync.Map // poolKey -> *sync.Pool of *Machine
 
 // poolable reports whether the configuration admits recycling.
 func poolable(cfg Config) bool {
@@ -82,15 +84,14 @@ func Acquire(img *Image, cfg Config) *Machine {
 		return New(img, cfg)
 	}
 	norm := normalizeConfig(img, cfg)
-	key := keyFor(img, norm)
-	p, ok := machinePools.Load(key)
-	if !ok {
-		p, _ = machinePools.LoadOrStore(key, &sync.Pool{})
-	}
-	if v := p.(*sync.Pool).Get(); v != nil {
-		m := v.(*Machine)
-		m.rearm(norm)
-		return m
+	// A translating machine's sighting is its translation lookup in
+	// New; the other engines sight the image here.
+	if p := translations.poolFor(keyFor(img, norm), !usesTranslation(norm)); p != nil {
+		if v := p.Get(); v != nil {
+			m := v.(*Machine)
+			m.rearm(norm)
+			return m
+		}
 	}
 	m := New(img, norm)
 	m.pooled = true
@@ -108,9 +109,8 @@ func Release(m *Machine) {
 	// machine retains no references into the finished request.
 	m.cfg.Ctx = nil
 	m.cfg.Output = nil
-	key := keyFor(m.img, m.cfg)
-	if p, ok := machinePools.Load(key); ok {
-		p.(*sync.Pool).Put(m)
+	if p := translations.poolFor(keyFor(m.img, m.cfg), false); p != nil {
+		p.Put(m)
 	}
 }
 

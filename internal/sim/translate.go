@@ -81,36 +81,54 @@ type transEntry struct {
 	once sync.Once
 	tr   *translation
 	elem *list.Element // position in the LRU list (value: transKey)
+	// pools holds the image's machine pools (poolKey -> *sync.Pool),
+	// so recycled machines are dropped when the image is evicted.
+	pools sync.Map
 }
 
+// The cache admits an image on its second sighting.  A first sighting
+// is translated for its caller alone and only remembered in a bounded
+// seen-set: a one-off image (a salted or freshly edited program under
+// serving) then never pins a translation or a machine pool, while any
+// image run twice becomes resident.
 type transCache struct {
 	mu        sync.Mutex
 	cap       int
 	entries   map[transKey]*transEntry
 	lru       *list.List
+	seen      map[transKey]*list.Element // first sightings not yet admitted
+	seenOrder *list.List                 // oldest sighting at the back
 	hits      int64
 	misses    int64
 	evictions int64
 }
 
 var translations = &transCache{
-	cap:     64,
-	entries: make(map[transKey]*transEntry),
-	lru:     list.New(),
+	cap:       64,
+	entries:   make(map[transKey]*transEntry),
+	lru:       list.New(),
+	seen:      make(map[transKey]*list.Element),
+	seenOrder: list.New(),
 }
 
-// translationFor returns the cached translation for the image under the
-// configuration, translating on first use.  Translation runs outside
-// the cache lock (per-entry sync.Once), so a slow translation of one
-// image never blocks lookups of others; an entry evicted while still
-// referenced by machines keeps working — eviction only forgets it.
-func translationFor(img *Image, cfg Config) *translation {
-	key := transKey{
+func transKeyFor(img *Image, cfg Config) transKey {
+	return transKey{
 		fp:   img.Fingerprint(),
 		div:  cfg.DivLatency,
 		math: cfg.MathLatency,
 		cvt:  cfg.CvtLatency,
 	}
+}
+
+// translationFor returns the translation of the image under the
+// configuration: the cached one for a resident image, a fresh one
+// otherwise.  Every lookup that finds no resident entry counts as a
+// miss.  Translation runs outside the cache lock (per-entry
+// sync.Once), so a slow translation of one image never blocks lookups
+// of others; an entry evicted while still referenced by machines keeps
+// working — eviction only forgets it.
+func translationFor(img *Image, cfg Config) *translation {
+	key := transKeyFor(img, cfg)
 	c := translations
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -119,22 +137,76 @@ func translationFor(img *Image, cfg Config) *translation {
 		c.lru.MoveToFront(e.elem)
 	} else {
 		c.misses++
-		e = &transEntry{}
-		e.elem = c.lru.PushFront(key)
-		c.entries[key] = e
-		c.evictLocked()
+		e = c.admitLocked(key)
 	}
 	c.mu.Unlock()
+	if e == nil {
+		return translate(img, cfg)
+	}
 	e.once.Do(func() { e.tr = translate(img, cfg) })
 	return e.tr
 }
 
+// admitLocked records a sighting of a non-resident key and returns its
+// new entry when this is the second sighting (or the cache is
+// unbounded), nil on a first sighting.
+func (c *transCache) admitLocked(key transKey) *transEntry {
+	if c.cap > 0 {
+		el, again := c.seen[key]
+		if !again {
+			c.seen[key] = c.seenOrder.PushFront(key)
+			c.evictLocked()
+			return nil
+		}
+		delete(c.seen, key)
+		c.seenOrder.Remove(el)
+	}
+	e := &transEntry{}
+	e.elem = c.lru.PushFront(key)
+	c.entries[key] = e
+	c.evictLocked()
+	return e
+}
+
+// poolFor returns the machine pool for the key when its image is
+// resident, nil otherwise.  A resident image moves to the front of the
+// LRU, since a recycled machine never looks its translation up again.
+// With sight set, a lookup of a non-resident image counts as a
+// sighting for admission (without touching the hit/miss counters):
+// the engines that never translate use it so their machines still pool
+// once the image recurs.
+func (c *transCache) poolFor(k poolKey, sight bool) *sync.Pool {
+	tk := transKey{fp: k.fp, div: k.divLatency, math: k.mathLatency, cvt: k.cvtLatency}
+	c.mu.Lock()
+	e := c.entries[tk]
+	switch {
+	case e != nil:
+		c.lru.MoveToFront(e.elem)
+	case sight:
+		e = c.admitLocked(tk)
+	}
+	c.mu.Unlock()
+	if e == nil {
+		return nil
+	}
+	p, ok := e.pools.Load(k)
+	if !ok {
+		p, _ = e.pools.LoadOrStore(k, &sync.Pool{})
+	}
+	return p.(*sync.Pool)
+}
+
+// evictLocked trims the resident entries to the cap, and the seen-set
+// to the same bound.
 func (c *transCache) evictLocked() {
 	for c.cap > 0 && c.lru.Len() > c.cap {
 		back := c.lru.Back()
 		delete(c.entries, back.Value.(transKey))
 		c.lru.Remove(back)
 		c.evictions++
+	}
+	for c.seenOrder.Len() > max(c.cap, 0) {
+		delete(c.seen, c.seenOrder.Remove(c.seenOrder.Back()).(transKey))
 	}
 }
 
