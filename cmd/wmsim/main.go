@@ -55,7 +55,7 @@ func main() {
 	fifo := flag.Int("fifo", 0, "FIFO depth (0 = default)")
 	scu := flag.Int("scu", 0, "number of stream control units (0 = default)")
 	watchdog := flag.Int("watchdog", 0, "deadlock watchdog slack in cycles (0 = default)")
-	engine := flag.String("engine", "auto", "simulation engine: auto, translated, fast, or reference (all bit-identical)")
+	engine := flag.String("engine", "translated", "simulation engine: translated (auto is a synonym) or reference (bit-identical)")
 	level := flag.Int("O", 3, "optimization level for .mc inputs (0-3)")
 	stats := flag.Bool("stats", false, "print execution statistics and the per-unit stall table to stderr")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (view in Perfetto)")
@@ -118,11 +118,8 @@ func main() {
 	if *watchdog > 0 {
 		m.WatchdogSlack = *watchdog
 	}
-	switch *engine {
-	case "", "auto", "translated", "fast", "reference":
-		m.Engine = *engine
-	default:
-		fatal(fmt.Errorf("unknown engine %q (want auto, translated, fast, or reference)", *engine))
+	if m.Engine, err = wmstream.ResolveEngine(*engine); err != nil {
+		fatal(err)
 	}
 
 	var opts wmstream.SimOptions

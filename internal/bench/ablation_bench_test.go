@@ -198,7 +198,7 @@ func BenchmarkSimulator(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim_instrs/s")
 }
 
-// BenchmarkSimulatorEngines measures every engine on identical work
+// BenchmarkSimulatorEngines measures both engines on identical work
 // (quicksort at O3), so engine-to-engine speedups come from one binary
 // on one host rather than from numbers recorded months apart.
 func BenchmarkSimulatorEngines(b *testing.B) {
@@ -206,7 +206,7 @@ func BenchmarkSimulatorEngines(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, e := range []sim.Engine{sim.EngineTranslated, sim.EngineFast, sim.EngineReference} {
+	for _, e := range []sim.Engine{sim.EngineTranslated, sim.EngineReference} {
 		b.Run(e.String(), func(b *testing.B) {
 			cfg := sim.DefaultConfig()
 			cfg.Engine = e

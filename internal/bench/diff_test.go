@@ -11,22 +11,11 @@ import (
 	"wmstream/internal/sim"
 )
 
-// The accelerated engines' correctness contract: for every program,
-// every optimization level, and every machine shape, the fast engine
-// and the translated engine must be cycle-exact against the reference
-// interpreter — same statistics (including the per-unit telemetry
-// attribution), same output, same final memory image, same error.
-// These tests are that contract.
-
-// acceleratedEngines lists every engine validated against the
-// reference.
-var acceleratedEngines = []struct {
-	name string
-	eng  sim.Engine
-}{
-	{"fast", sim.EngineFast},
-	{"translated", sim.EngineTranslated},
-}
+// The translated engine's correctness contract: for every program,
+// every optimization level, and every machine shape, it must be
+// cycle-exact against the reference interpreter — same statistics
+// (including the per-unit telemetry attribution), same output, same
+// final memory image, same error.  These tests are that contract.
 
 // engineResult is everything externally observable about one run.
 type engineResult struct {
@@ -50,7 +39,7 @@ func runEngine(img *sim.Image, cfg sim.Config, eng sim.Engine) engineResult {
 }
 
 // diffEngines compiles the program at the level, runs it under the
-// reference and every accelerated engine, and fails the test on any
+// reference and the translated engine, and fails the test on any
 // observable divergence.
 func diffEngines(t *testing.T, p Program, level int, cfg sim.Config) {
 	t.Helper()
@@ -63,38 +52,32 @@ func diffEngines(t *testing.T, p Program, level int, cfg sim.Config) {
 		t.Fatalf("link: %v", err)
 	}
 	ref := runEngine(img, cfg, sim.EngineReference)
-	for _, e := range acceleratedEngines {
-		got := runEngine(img, cfg, e.eng)
-		if ref.errStr != got.errStr {
-			t.Fatalf("%s: error mismatch:\nreference: %s\n%-9s %s",
-				e.name, ref.errStr, e.name+":", got.errStr)
-		}
-		if !reflect.DeepEqual(ref.stats, got.stats) {
-			t.Errorf("%s: stats mismatch:\nreference: %+v\n%-9s %+v",
-				e.name, ref.stats, e.name+":", got.stats)
-		}
-		if ref.output != got.output {
-			t.Errorf("%s: output mismatch:\nreference: %q\n%-9s %q",
-				e.name, ref.output, e.name+":", got.output)
-		}
-		if !bytes.Equal(ref.mem, got.mem) {
-			t.Errorf("%s: final memory images differ (lengths %d vs %d)",
-				e.name, len(ref.mem), len(got.mem))
-		}
-		if ref.errStr != "" {
-			continue // attribution sums only hold for completed runs
-		}
-		for _, r := range []engineResult{ref, got} {
-			for _, u := range r.stats.Units {
-				if u.Total() != r.stats.Cycles {
-					t.Errorf("unit %s attribution sums to %d, want Cycles=%d",
-						u.Name, u.Total(), r.stats.Cycles)
-				}
+	got := runEngine(img, cfg, sim.EngineTranslated)
+	if ref.errStr != got.errStr {
+		t.Fatalf("error mismatch:\nreference:  %s\ntranslated: %s", ref.errStr, got.errStr)
+	}
+	if !reflect.DeepEqual(ref.stats, got.stats) {
+		t.Errorf("stats mismatch:\nreference:  %+v\ntranslated: %+v", ref.stats, got.stats)
+	}
+	if ref.output != got.output {
+		t.Errorf("output mismatch:\nreference:  %q\ntranslated: %q", ref.output, got.output)
+	}
+	if !bytes.Equal(ref.mem, got.mem) {
+		t.Errorf("final memory images differ (lengths %d vs %d)", len(ref.mem), len(got.mem))
+	}
+	if ref.errStr != "" {
+		return // attribution sums only hold for completed runs
+	}
+	for _, r := range []engineResult{ref, got} {
+		for _, u := range r.stats.Units {
+			if u.Total() != r.stats.Cycles {
+				t.Errorf("unit %s attribution sums to %d, want Cycles=%d",
+					u.Name, u.Total(), r.stats.Cycles)
 			}
 		}
-		if p.Expect != "" && got.output != p.Expect {
-			t.Errorf("%s: output %q, want %q", e.name, got.output, p.Expect)
-		}
+	}
+	if p.Expect != "" && got.output != p.Expect {
+		t.Errorf("output %q, want %q", got.output, p.Expect)
 	}
 }
 
@@ -114,7 +97,7 @@ func TestEngineDifferential(t *testing.T) {
 }
 
 // TestEngineDifferentialStressed re-runs a streaming-heavy subset under
-// machine shapes that exercise every fast-path boundary: unit memory
+// machine shapes that exercise every skip and batch boundary: unit memory
 // latency (events land immediately), a single memory port (SCU/write
 // contention), tiny FIFOs (constant backpressure), one SCU (stream
 // serialization), and tiny unit queues (IFU dispatch stalls).
@@ -215,7 +198,6 @@ func TestSlicedRunDifferential(t *testing.T) {
 		eng  sim.Engine
 	}{
 		{"ref", sim.EngineReference},
-		{"fast", sim.EngineFast},
 		{"translated", sim.EngineTranslated},
 	}
 	for _, p := range progs {
@@ -276,25 +258,22 @@ halt
 	if ref.errStr == "" {
 		t.Fatalf("expected deadlock from the reference engine")
 	}
-	for _, e := range acceleratedEngines {
-		got := runEngine(img, cfg, e.eng)
-		if got.errStr == "" {
-			t.Fatalf("%s: expected a deadlock; reference said %q", e.name, ref.errStr)
-		}
-		if ref.errStr != got.errStr {
-			t.Fatalf("%s: deadlock diagnosis mismatch:\nreference: %s\n%-9s %s",
-				e.name, ref.errStr, e.name+":", got.errStr)
-		}
-		if !reflect.DeepEqual(ref.stats, got.stats) {
-			t.Errorf("%s: stats mismatch:\nreference: %+v\n%-9s %+v",
-				e.name, ref.stats, e.name+":", got.stats)
-		}
+	got := runEngine(img, cfg, sim.EngineTranslated)
+	if got.errStr == "" {
+		t.Fatalf("translated: expected a deadlock; reference said %q", ref.errStr)
+	}
+	if ref.errStr != got.errStr {
+		t.Fatalf("deadlock diagnosis mismatch:\nreference:  %s\ntranslated: %s", ref.errStr, got.errStr)
+	}
+	if !reflect.DeepEqual(ref.stats, got.stats) {
+		t.Errorf("stats mismatch:\nreference:  %+v\ntranslated: %+v", ref.stats, got.stats)
 	}
 }
 
 // TestEngineDifferentialMaxCycles checks the MaxCycles trap fires at
 // the same cycle with the same statistics under both engines, including
-// when the bound lands inside a stalled stretch the fast engine skips.
+// when the bound lands inside a stalled stretch the translated engine
+// skips.
 func TestEngineDifferentialMaxCycles(t *testing.T) {
 	p := Livermore5(256)
 	rp, err := Compile(p, 3)
@@ -315,16 +294,12 @@ func TestEngineDifferentialMaxCycles(t *testing.T) {
 			if ref.errStr == "" {
 				t.Fatalf("expected a MaxCycles trap at %d cycles", max)
 			}
-			for _, e := range acceleratedEngines {
-				got := runEngine(img, cfg, e.eng)
-				if ref.errStr != got.errStr {
-					t.Fatalf("%s: trap mismatch:\nreference: %s\n%-9s %s",
-						e.name, ref.errStr, e.name+":", got.errStr)
-				}
-				if !reflect.DeepEqual(ref.stats, got.stats) {
-					t.Errorf("%s: stats mismatch:\nreference: %+v\n%-9s %+v",
-						e.name, ref.stats, e.name+":", got.stats)
-				}
+			got := runEngine(img, cfg, sim.EngineTranslated)
+			if ref.errStr != got.errStr {
+				t.Fatalf("trap mismatch:\nreference:  %s\ntranslated: %s", ref.errStr, got.errStr)
+			}
+			if !reflect.DeepEqual(ref.stats, got.stats) {
+				t.Errorf("stats mismatch:\nreference:  %+v\ntranslated: %+v", ref.stats, got.stats)
 			}
 		})
 	}

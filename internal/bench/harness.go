@@ -84,7 +84,7 @@ func Run(rp *rtl.Program, cfg sim.Config) (sim.Stats, string, error) {
 // Measure compiles and runs one benchmark at one level with the
 // default machine, timing the simulation (not the compile).
 func Measure(p Program, level int) (Result, error) {
-	return MeasureEngine(p, level, sim.EngineAuto)
+	return MeasureEngine(p, level, sim.EngineTranslated)
 }
 
 // MeasureEngine is Measure on an explicit simulation engine, so
@@ -102,7 +102,7 @@ func MeasureEngine(p Program, level int, engine sim.Engine) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("%s O%d: %w", p.Name, level, err)
 	}
-	return Result{Program: p.Name, Level: level, Engine: engine.Resolve(),
+	return Result{Program: p.Name, Level: level, Engine: engine,
 		Stats: stats, Output: out, HostNS: host.Nanoseconds()}, nil
 }
 

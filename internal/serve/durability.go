@@ -90,6 +90,13 @@ func (jm *jobManager) recover(rec *durable.Recovery) {
 				jm.abandonLocked(r)
 				continue
 			}
+			// Older binaries had a third engine, "fast", since retired.
+			// It was bit-identical to the translated engine (the
+			// differential tests gate both against the reference), so
+			// its jobs run on, and resume into, the translated engine.
+			if req.Machine != nil && req.Machine.Engine == "fast" {
+				req.Machine.Engine = "translated"
+			}
 			j := &job{
 				id:         r.ID,
 				tenant:     r.Tenant,

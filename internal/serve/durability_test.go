@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"wmstream"
 	"wmstream/internal/durable"
 )
 
@@ -123,14 +127,14 @@ func healthJobs(t *testing.T, ts *httptest.Server) *JobsHealth {
 // result byte-identical to an uninterrupted run.
 func TestJobCrashRestartHarness(t *testing.T) {
 	dir := t.TempDir()
-	engines := []string{"fast", "reference"}
+	engines := []string{"translated", "reference"}
 	want := map[string]*RunResponse{}
 	for _, e := range engines {
 		want[e] = baselineRun(t, crashJobReq(e))
 	}
-	if !reflect.DeepEqual(want["fast"], want["reference"]) {
-		t.Fatalf("engines disagree before any crash:\nfast:      %+v\nreference: %+v",
-			want["fast"], want["reference"])
+	if !reflect.DeepEqual(want["translated"], want["reference"]) {
+		t.Fatalf("engines disagree before any crash:\ntranslated: %+v\nreference:  %+v",
+			want["translated"], want["reference"])
 	}
 
 	acked := map[string]string{} // job ID -> engine
@@ -207,6 +211,116 @@ func TestJobCrashRestartHarness(t *testing.T) {
 	}
 }
 
+// TestJobLegacyFastEngineRecovers: a journal written by an older
+// binary can name the retired "fast" engine.  Recovery runs those jobs
+// on the translated engine — the queued one from the start, the
+// running one from its checkpoint — and both finish byte-identical to
+// an uninterrupted /run, so no acknowledged job is lost across the
+// upgrade.
+func TestJobLegacyFastEngineRecovers(t *testing.T) {
+	const src = `double a[128];
+int main(void) {
+    int i, r; double s;
+    for (i = 0; i < 128; i++) a[i] = (i & 15) * 0.25;
+    s = 0.0;
+    for (r = 0; r < 600; r++) {
+        for (i = 0; i < 128; i++) s = s + a[i];
+        if ((r & 127) == 0) puti(r);
+    }
+    putd(s);
+    return 0;
+}`
+	req := &Request{Source: src, Level: intp(0)}
+	_, mem := newTestServer(t, Config{})
+	want := post(t, mem, "/run", req)
+	if want.status != http.StatusOK {
+		t.Fatalf("uninterrupted /run: status %d, body %s", want.status, want.body)
+	}
+
+	// A mid-run checkpoint like the one the older binary spilled.  The
+	// encoding is engine-independent, so the translated engine writes
+	// the same bytes the fast engine did.
+	cres, err := wmstream.CompileContext(context.Background(), src, wmstream.CompileConfig{Options: req.options()})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var blob []byte
+	var cycles int64
+	_, err = wmstream.RunWithTelemetryContext(ctx, cres.Program, req.machine(), wmstream.SimOptions{
+		CheckpointEvery: 200_000,
+		OnCheckpoint: func(state []byte, p wmstream.RunProgress) error {
+			if blob == nil {
+				blob, cycles = state, p.Cycles
+				cancel()
+			}
+			return nil
+		},
+	})
+	if !errors.Is(err, context.Canceled) || blob == nil || cycles == 0 {
+		t.Fatalf("no mid-run checkpoint (err %v, cycles %d)", err, cycles)
+	}
+
+	legacy, err := json.Marshal(&Request{Source: src, Level: intp(0), Machine: &MachineSpec{Engine: "fast"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, _, err := durable.Open(durable.Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("open journal: %v", err)
+	}
+	ref, err := store.SaveCheckpoint(blob, cycles)
+	if err != nil {
+		t.Fatalf("save checkpoint: %v", err)
+	}
+	for _, r := range []durable.JobRecord{
+		{Seq: 1, ID: "legacy-queued", State: "queued", Request: legacy},
+		{Seq: 2, ID: "legacy-running", State: "running", Gen: 3, Request: legacy, Checkpoint: &ref},
+	} {
+		if err := store.Put(r); err != nil {
+			t.Fatalf("journal %s: %v", r.ID, err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatalf("close journal: %v", err)
+	}
+
+	srv, ts := newTestServer(t, durableCfg(dir, nil))
+	if rec, _ := srv.Recovery(); rec.Requeued != 1 || rec.Resumed != 1 || rec.Abandoned != 0 {
+		t.Fatalf("recovery %+v, want Requeued=1 Resumed=1 Abandoned=0", rec)
+	}
+	for _, id := range []string{"legacy-queued", "legacy-running"} {
+		done := waitTerminal(t, ts, id, 0)
+		if done.State != "done" {
+			t.Fatalf("%s ended %q (error %q)", id, done.State, done.Error)
+		}
+		got, err := json.Marshal(done.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Response bodies end in a newline.
+		if got = append(got, '\n'); !bytes.Equal(got, want.body) {
+			t.Errorf("%s diverged from the uninterrupted /run:\nwant: %s\ngot:  %s", id, want.body, got)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	metrics, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read metrics: %v", err)
+	}
+	// The running job resumed from its checkpoint rather than falling
+	// back to a clean start.
+	if bytes.Contains(metrics, []byte(`event="resume_failed"`)) {
+		t.Error("the legacy checkpoint failed to resume")
+	}
+}
+
 // tearJournalTail appends a partial frame to the newest WAL segment,
 // as an interrupted write would.
 func tearJournalTail(t *testing.T, dir string) {
@@ -244,7 +358,7 @@ func TestJobQueuedSurviveRestart(t *testing.T) {
 	}
 
 	// Occupy the single worker, then queue jobs behind it.
-	_, blocker := submitJob(t, ts, crashJobReq("fast"))
+	_, blocker := submitJob(t, ts, crashJobReq("translated"))
 	waitCycles(t, ts, blocker.ID, 100_000)
 	var queued []JobResponse
 	for n := 0; n < 3; n++ {
@@ -294,11 +408,11 @@ func TestJobQueuedSurviveRestart(t *testing.T) {
 // restart — the job still completes with the uninterrupted result.
 func TestJobCheckpointCorruptFallback(t *testing.T) {
 	dir := t.TempDir()
-	want := baselineRun(t, crashJobReq("fast"))
+	want := baselineRun(t, crashJobReq("translated"))
 
 	srv := New(durableCfg(dir, nil))
 	ts := httptest.NewServer(srv)
-	res, jr := submitJob(t, ts, crashJobReq("fast"))
+	res, jr := submitJob(t, ts, crashJobReq("translated"))
 	if res.status != http.StatusAccepted {
 		t.Fatalf("submit status %d", res.status)
 	}
@@ -387,7 +501,7 @@ func TestJobPollDrainReleases(t *testing.T) {
 	srv, ts := newTestServer(t, cfg)
 	// Occupy the worker so the second job stays queued, its generation
 	// frozen — the long-poll genuinely blocks.
-	submitJob(t, ts, crashJobReq("fast"))
+	submitJob(t, ts, crashJobReq("translated"))
 	_, queued := submitJob(t, ts, &JobRequest{Request: Request{Source: helloSrc}})
 
 	type pollResult struct {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,59 +10,67 @@ import (
 	"testing"
 )
 
-// TestRunEngineSelection: every engine name is accepted, every engine
-// produces the same answer, and an unknown engine is rejected with a
+// TestRunEngineSelection: every engine name is accepted and every
+// engine produces the same bytes; the spellings of one engine share
+// one cache entry; a retired or unknown engine is rejected with a
 // message naming the valid set.
 func TestRunEngineSelection(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	var want RunResponse
-	for _, engine := range []string{"", "auto", "translated", "fast", "reference"} {
+	var want []byte
+	for _, c := range []struct{ engine, cache string }{
+		{"", "miss"},
+		{"auto", "hit"},
+		{"translated", "hit"},
+		{"reference", "miss"},
+		{"reference", "hit"},
+	} {
 		req := &Request{Source: helloSrc}
-		if engine != "" {
-			req.Machine = &MachineSpec{Engine: engine}
+		if c.engine != "" {
+			req.Machine = &MachineSpec{Engine: c.engine}
 		}
 		res := post(t, ts, "/run", req)
 		if res.status != http.StatusOK {
-			t.Fatalf("engine %q: status %d, body %s", engine, res.status, res.body)
+			t.Fatalf("engine %q: status %d, body %s", c.engine, res.status, res.body)
 		}
-		var rr RunResponse
-		if err := json.Unmarshal(res.body, &rr); err != nil {
-			t.Fatalf("engine %q: bad JSON: %v", engine, err)
+		if res.cache != c.cache {
+			t.Errorf("engine %q: X-Cache %q, want %q", c.engine, res.cache, c.cache)
 		}
-		if engine == "" {
-			want = rr
+		if want == nil {
+			want = res.body
 			continue
 		}
-		if rr.Output != want.Output || rr.Cycles != want.Cycles || rr.Instructions != want.Instructions {
-			t.Errorf("engine %q diverged: output=%q cycles=%d instrs=%d, want output=%q cycles=%d instrs=%d",
-				engine, rr.Output, rr.Cycles, rr.Instructions, want.Output, want.Cycles, want.Instructions)
+		if !bytes.Equal(res.body, want) {
+			t.Errorf("engine %q diverged:\n%s\nwant:\n%s", c.engine, res.body, want)
 		}
 	}
 
-	res := post(t, ts, "/run", &Request{Source: helloSrc, Machine: &MachineSpec{Engine: "quantum"}})
-	if res.status != http.StatusBadRequest {
-		t.Fatalf("bad engine: status %d, want 400", res.status)
-	}
-	var er ErrorResponse
-	if err := json.Unmarshal(res.body, &er); err != nil {
-		t.Fatalf("bad engine error body: %v", err)
-	}
-	if !strings.Contains(er.Error, "translated") {
-		t.Errorf("bad-engine message should name the valid engines, got %q", er.Error)
+	for _, engine := range []string{"fast", "quantum"} {
+		res := post(t, ts, "/run", &Request{Source: helloSrc, Machine: &MachineSpec{Engine: engine}})
+		if res.status != http.StatusBadRequest {
+			t.Fatalf("engine %q: status %d, want 400", engine, res.status)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(res.body, &er); err != nil {
+			t.Fatalf("engine %q: bad error body: %v", engine, err)
+		}
+		if !strings.Contains(er.Error, "translated") || !strings.Contains(er.Error, "reference") {
+			t.Errorf("engine %q: message should name the valid engines, got %q", engine, er.Error)
+		}
 	}
 }
 
 // TestEngineRunsMetric: served runs show up in
-// wmserved_engine_runs_total under the engine that actually executed
-// them (auto resolves to translated), and the translation-cache
-// families are exported.
+// wmserved_engine_runs_total under the canonical name of the engine
+// that executed them (auto counts as translated), and the
+// translation-cache families are exported.
 func TestEngineRunsMetric(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	// Two default-engine runs and one explicit fast run.  Distinct
-	// machine configs defeat the response cache so each run executes.
-	for _, spec := range []*MachineSpec{nil, {MemLatency: 17}, {MemLatency: 23, Engine: "fast"}} {
+	// A default-engine run, an auto run and one explicit reference run.
+	// Distinct machine configs defeat the response cache so each run
+	// executes.
+	for _, spec := range []*MachineSpec{nil, {MemLatency: 17, Engine: "auto"}, {MemLatency: 23, Engine: "reference"}} {
 		res := post(t, ts, "/run", &Request{Source: helloSrc, Machine: spec})
 		if res.status != http.StatusOK {
 			t.Fatalf("run: status %d, body %s", res.status, res.body)
@@ -81,11 +90,14 @@ func TestEngineRunsMetric(t *testing.T) {
 
 	for _, want := range []string{
 		`wmserved_engine_runs_total{engine="translated"} 2`,
-		`wmserved_engine_runs_total{engine="fast"} 1`,
+		`wmserved_engine_runs_total{engine="reference"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	if strings.Contains(text, `engine="auto"`) {
+		t.Error(`metrics carry an engine="auto" label; spellings must be canonicalized`)
 	}
 	for _, family := range []string{
 		"wmserved_translation_cache_entries",

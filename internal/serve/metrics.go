@@ -105,8 +105,7 @@ type metrics struct {
 	slow      labeledCounter // busy time over the slow threshold, by endpoint
 
 	// engineRuns counts completed simulation runs by the engine that
-	// actually executed them ("auto" is resolved before counting, so
-	// the labels name real engines: translated, fast, reference).
+	// executed them, under its canonical name (translated, reference).
 	engineRuns labeledCounter
 
 	// forwards counts cluster routing decisions that left this node,
@@ -180,9 +179,9 @@ func (m *metrics) observeSlow(endpoint, traceID string) {
 }
 
 // observeEngineRun counts one simulation run against the engine that
-// executed it.
+// executed it (a canonical name from Request.machine).
 func (m *metrics) observeEngineRun(engine string) {
-	m.engineRuns.add(fmt.Sprintf(`engine=%q`, wmstream.ResolveEngine(engine)), 1)
+	m.engineRuns.add(fmt.Sprintf(`engine=%q`, engine), 1)
 }
 
 // addSimUnits folds one run's per-unit cycle attribution (the

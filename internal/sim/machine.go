@@ -137,10 +137,11 @@ type Machine struct {
 	termErr  error
 	flushed  bool
 
-	// Per-cycle progress classification for the fast engine: progress()
-	// sets otherProgress, progressSCU (stream transfers only) sets
-	// scuProgress.  A cycle with neither is a candidate for idle
-	// skipping; a cycle with only SCU progress for transfer batching.
+	// Per-cycle progress classification for the translated engine's
+	// skip and batch windows (skip.go): progress() sets otherProgress,
+	// progressSCU (stream transfers only) sets scuProgress.  A cycle
+	// with neither is a candidate for idle skipping; a cycle with only
+	// SCU progress for transfer batching.
 	scuProgress   bool
 	otherProgress bool
 	// cycleCause records the cause each unit was charged this cycle, so
@@ -176,8 +177,8 @@ type Machine struct {
 	// and may go stale as time passes — never the reverse.
 	readyMask [2]uint32
 
-	// tr is the lazily attached translation (EngineTranslated /
-	// EngineAuto); shared across machines via the process-wide cache.
+	// tr is the lazily attached translation (EngineTranslated); shared
+	// across machines via the process-wide cache.
 	tr *translation
 
 	// The translated engine defers per-cycle Idle charges — of fully
@@ -185,7 +186,7 @@ type Machine struct {
 	// counters, flushed into unitCounts wherever the counts become
 	// observable (Stats, SaveState, a cycle where the unit works).  The
 	// cause flags record that cycleCause already says Idle for the
-	// covered slots, so the fast paths touch neither array.
+	// covered slots, so the hot paths touch neither array.
 	scuIdleDeferred  int64
 	unitIdleDeferred [2]int64
 	scuCauseIdle     bool
@@ -214,7 +215,7 @@ func normalizeConfig(img *Image, cfg Config) Config {
 // usesTranslation reports whether New attaches a translation: runs
 // headed for the translated engine without a trace recorder.
 func usesTranslation(cfg Config) bool {
-	return cfg.TraceSink == nil && cfg.Engine != EngineFast && cfg.Engine != EngineReference
+	return cfg.TraceSink == nil && cfg.Engine != EngineReference
 }
 
 // New builds a machine for the linked image.  When the image's global
@@ -331,12 +332,9 @@ func (m *Machine) RunSlice(budget int64) (bool, error) {
 	)
 	// The trace recorder observes every cycle, so it forces the
 	// reference engine regardless of the requested engine.
-	switch {
-	case m.rec != nil || m.cfg.Engine == EngineReference:
+	if m.rec != nil || m.cfg.Engine == EngineReference {
 		done, err = m.runRef(limit)
-	case m.cfg.Engine == EngineFast:
-		done, err = m.runFast(limit)
-	default: // EngineAuto, EngineTranslated
+	} else {
 		done, err = m.runTranslated(limit)
 	}
 	if done || err != nil {
@@ -416,7 +414,7 @@ func (m *Machine) cancelDone() <-chan struct{} {
 
 // runRef is the reference engine: one full machine evaluation per
 // simulated cycle, up to the absolute cycle limit.  It is the
-// semantic definition the fast engine is differentially tested
+// semantic definition the translated engine is differentially tested
 // against.  Returns done=true only on clean completion; a false/nil
 // return means the slice limit was reached with the run still live.
 func (m *Machine) runRef(limit int64) (bool, error) {
@@ -560,7 +558,7 @@ func (m *Machine) progress() {
 }
 
 // progressSCU marks forward progress made by a stream transfer.  The
-// fast engine batches cycles whose only progress is of this kind.
+// translated engine batches cycles whose only progress is of this kind.
 func (m *Machine) progressSCU() {
 	m.lastProgress = m.now
 	m.scuProgress = true

@@ -14,7 +14,7 @@ func TestPoolBitIdentity(t *testing.T) {
 	for _, e := range []struct {
 		name string
 		eng  Engine
-	}{{"translated", EngineTranslated}, {"fast", EngineFast}, {"ref", EngineReference}} {
+	}{{"translated", EngineTranslated}, {"ref", EngineReference}} {
 		e := e
 		t.Run(e.name, func(t *testing.T) {
 			cfg := DefaultConfig()

@@ -71,7 +71,7 @@ func TestStateRoundTripMidRun(t *testing.T) {
 	for _, e := range []struct {
 		name string
 		eng  Engine
-	}{{"ref", EngineReference}, {"fast", EngineFast}, {"translated", EngineTranslated}} {
+	}{{"ref", EngineReference}, {"translated", EngineTranslated}} {
 		e := e
 		t.Run(e.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -114,7 +114,7 @@ func TestStateRoundTripMidRun(t *testing.T) {
 }
 
 // TestStateCrossEngineResume saves under the reference engine and
-// resumes under the fast engine: the encoding is engine-independent,
+// resumes under the translated engine: the encoding is engine-independent,
 // so the spliced run must match the uninterrupted reference run.
 func TestStateCrossEngineResume(t *testing.T) {
 	img := checkpointImage(t)
@@ -132,10 +132,10 @@ func TestStateCrossEngineResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SaveState: %v", err)
 	}
-	fastCfg := DefaultConfig()
-	fastCfg.Engine = EngineFast
-	fastCfg.Output = &out
-	m2 := New(img, fastCfg)
+	trCfg := DefaultConfig()
+	trCfg.Engine = EngineTranslated
+	trCfg.Output = &out
+	m2 := New(img, trCfg)
 	if err := m2.RestoreState(blob); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
@@ -154,11 +154,12 @@ func TestStateCrossEngineResume(t *testing.T) {
 	}
 }
 
-// TestStateCrossEngineChain splices one run across all three engines —
-// a slice under the translated engine, a slice under the fast engine,
-// the rest under the reference — through checkpoints at each seam.  The
-// encoding is engine-independent and every engine is bit-identical, so
-// the spliced run must match the uninterrupted reference run exactly.
+// TestStateCrossEngineChain splices one run across the engines and back
+// — a slice under the translated engine, a slice under the reference,
+// the rest under the translated engine again — through checkpoints at
+// each seam.  The encoding is engine-independent and the engines are
+// bit-identical, so the spliced run must match the uninterrupted
+// reference run exactly.
 func TestStateCrossEngineChain(t *testing.T) {
 	img := checkpointImage(t)
 	refCfg := DefaultConfig()
@@ -173,29 +174,29 @@ func TestStateCrossEngineChain(t *testing.T) {
 		m := New(img, cfg)
 		if blob != nil {
 			if err := m.RestoreState(blob); err != nil {
-				t.Fatalf("RestoreState under engine %d: %v", eng, err)
+				t.Fatalf("RestoreState under engine %s: %v", eng, err)
 			}
 		}
 		if slice >= 0 {
 			if done, err := m.RunSlice(slice); err != nil || done {
-				t.Fatalf("engine %d slice ended early (done=%v err=%v)", eng, done, err)
+				t.Fatalf("engine %s slice ended early (done=%v err=%v)", eng, done, err)
 			}
 			next, err := m.SaveState()
 			if err != nil {
-				t.Fatalf("SaveState under engine %d: %v", eng, err)
+				t.Fatalf("SaveState under engine %s: %v", eng, err)
 			}
 			return next, m
 		}
 		if _, err := m.Run(); err != nil {
-			t.Fatalf("final run under engine %d: %v", eng, err)
+			t.Fatalf("final run under engine %s: %v", eng, err)
 		}
 		return nil, m
 	}
 
 	var out bytes.Buffer
 	blob, _ := hop(nil, EngineTranslated, &out, 101)
-	blob, _ = hop(blob, EngineFast, &out, 97)
-	_, last := hop(blob, EngineReference, &out, -1)
+	blob, _ = hop(blob, EngineReference, &out, 97)
+	_, last := hop(blob, EngineTranslated, &out, -1)
 
 	if stats := last.Stats(); !reflect.DeepEqual(stats, wantStats) {
 		t.Errorf("stats mismatch:\nreference: %+v\nspliced:   %+v", wantStats, stats)

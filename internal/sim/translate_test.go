@@ -87,12 +87,12 @@ func TestTranslationAdmission(t *testing.T) {
 	}
 }
 
-// TestFastEngineAdmission: engines that never translate still pool a
-// recurring image, through the same admission rule.
-func TestFastEngineAdmission(t *testing.T) {
+// TestReferenceEngineAdmission: an engine that never translates still
+// pools a recurring image, through the same admission rule.
+func TestReferenceEngineAdmission(t *testing.T) {
 	img := distinctImage(t)
 	cfg := DefaultConfig()
-	cfg.Engine = EngineFast
+	cfg.Engine = EngineReference
 	before := TranslationCacheStats()
 	runPooled(t, img, cfg)
 	if in, _ := resident(img, cfg); in {
@@ -103,7 +103,7 @@ func TestFastEngineAdmission(t *testing.T) {
 		t.Errorf("second sighting: resident %v with %d pools, want admitted with 1", in, pools)
 	}
 	if after := TranslationCacheStats(); after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Errorf("fast-engine runs moved the translation counters: %+v → %+v", before, after)
+		t.Errorf("reference-engine runs moved the translation counters: %+v → %+v", before, after)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -41,8 +42,8 @@ func TestCheckpointResumeIdentity(t *testing.T) {
 		first, second string // Engine knob for the interrupted and resumed halves
 	}{
 		{"auto", "auto", "auto"},
-		{"fast-to-reference", "fast", "reference"},
-		{"reference-to-fast", "reference", "fast"},
+		{"translated-to-reference", "translated", "reference"},
+		{"reference-to-translated", "reference", "translated"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := DefaultMachine()
@@ -178,15 +179,16 @@ func TestResumeStateCorrupt(t *testing.T) {
 	}
 }
 
-// TestEngineKnob: the Machine.Engine string selects real engines and
-// both produce identical results.
+// TestEngineKnob: the Machine.Engine string selects real engines, both
+// produce identical results, and a name that selects no engine fails
+// every run entry point instead of silently running the default.
 func TestEngineKnob(t *testing.T) {
 	prog, err := Compile(resumeSrc, O3)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	var outs []Result
-	for _, eng := range []string{"auto", "fast", "reference", ""} {
+	for _, eng := range []string{"auto", "translated", "reference", ""} {
 		m := DefaultMachine()
 		m.Engine = eng
 		res, err := Run(prog, m)
@@ -203,5 +205,16 @@ func TestEngineKnob(t *testing.T) {
 	if !bytes.Contains([]byte(outs[0].Output), []byte("192000")) {
 		// 400 rounds over 256 elements of (i&15)*0.25 sum to 192000.
 		t.Errorf("unexpected output %q", outs[0].Output)
+	}
+
+	for _, eng := range []string{"refrence", "fast"} {
+		m := DefaultMachine()
+		m.Engine = eng
+		if _, err := Run(prog, m); err == nil || !strings.Contains(err.Error(), "reference") {
+			t.Errorf("Run with engine %q: err = %v, want one naming the valid engines", eng, err)
+		}
+		if _, err := RunWithTelemetry(prog, m, SimOptions{}); err == nil {
+			t.Errorf("RunWithTelemetry with engine %q: no error", eng)
+		}
 	}
 }

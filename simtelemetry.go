@@ -206,11 +206,14 @@ func RunWithTelemetry(p *Program, m Machine, o SimOptions) (SimResult, error) {
 // the simulation promptly, and the telemetry collected up to that
 // point is still returned.
 func RunWithTelemetryContext(ctx context.Context, p *Program, m Machine, o SimOptions) (SimResult, error) {
+	cfg, err := simConfig(m)
+	if err != nil {
+		return SimResult{}, err
+	}
 	img, err := sim.Link(p.rtl)
 	if err != nil {
 		return SimResult{}, err
 	}
-	cfg := simConfig(m)
 	cfg.Ctx = ctx
 	var out bytes.Buffer
 	cfg.Output = &out

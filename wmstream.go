@@ -334,13 +334,13 @@ type Machine struct {
 	NumSCU        int   // stream control units
 	WatchdogSlack int   // no-progress cycles beyond MemLatency before a deadlock is declared
 	MaxCycles     int64 // simulated-cycle bound before a runaway run traps (0 = default)
-	// Engine selects the simulation loop: "" or "auto" picks the
-	// translated engine whenever tracing permits, "translated" requests
-	// it explicitly, "fast" the event-stepped interpreter, "reference"
-	// the plain cycle-by-cycle interpreter.  All engines produce
-	// identical results; the knob exists so cross-engine identity
-	// (including checkpoint/resume across engines) can be asserted
-	// from the outside, and so benchmarks can pin a loop.
+	// Engine selects the simulation loop: "translated" (also spelled ""
+	// or "auto"; used whenever tracing permits) or "reference", the
+	// plain cycle-by-cycle interpreter.  Both produce identical
+	// results; the knob exists so cross-engine identity (including
+	// checkpoint/resume across engines) can be asserted from the
+	// outside, and so benchmarks can pin a loop.  Any other name fails
+	// the run.
 	Engine string
 }
 
@@ -394,15 +394,15 @@ type TransCacheStats = sim.TransCacheStats
 // exporters and debug pages.
 func TranslationCacheStats() TransCacheStats { return sim.TranslationCacheStats() }
 
-// ResolveEngine names the engine a Machine.Engine value actually runs:
-// "" and "auto" resolve to "translated"; other values name themselves.
-func ResolveEngine(engine string) string {
-	switch engine {
-	case "", "auto":
-		return "translated"
-	default:
-		return engine
+// ResolveEngine returns the canonical name of the engine a
+// Machine.Engine value selects ("" and "auto" are "translated"), or an
+// error naming the valid set.
+func ResolveEngine(engine string) (string, error) {
+	e, err := sim.ParseEngine(engine)
+	if err != nil {
+		return "", err
 	}
+	return e.String(), nil
 }
 
 // Result reports a simulation run.
@@ -416,8 +416,13 @@ type Result struct {
 }
 
 // simConfig maps the public Machine knobs onto a simulator Config.
-func simConfig(m Machine) sim.Config {
+func simConfig(m Machine) (sim.Config, error) {
+	eng, err := sim.ParseEngine(m.Engine)
+	if err != nil {
+		return sim.Config{}, err
+	}
 	cfg := sim.DefaultConfig()
+	cfg.Engine = eng
 	if m.MemLatency > 0 {
 		cfg.MemLatency = m.MemLatency
 	}
@@ -439,17 +444,7 @@ func simConfig(m Machine) sim.Config {
 	if m.MaxCycles > 0 {
 		cfg.MaxCycles = m.MaxCycles
 	}
-	switch m.Engine {
-	case "fast":
-		cfg.Engine = sim.EngineFast
-	case "reference":
-		cfg.Engine = sim.EngineReference
-	case "translated":
-		cfg.Engine = sim.EngineTranslated
-	default:
-		cfg.Engine = sim.EngineAuto
-	}
-	return cfg
+	return cfg, nil
 }
 
 // Run executes the program to completion on the simulated WM machine.
@@ -463,11 +458,14 @@ func Run(p *Program, m Machine) (Result, error) {
 // (which errors.Is-matches context.Canceled / context.DeadlineExceeded
 // rather than the simulator's own DeadlockError/TrapError).
 func RunContext(ctx context.Context, p *Program, m Machine) (Result, error) {
+	cfg, err := simConfig(m)
+	if err != nil {
+		return Result{}, err
+	}
 	img, err := sim.Link(p.rtl)
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := simConfig(m)
 	cfg.Ctx = ctx
 	var out bytes.Buffer
 	cfg.Output = &out
